@@ -139,14 +139,16 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 
-## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec.
-## The committed seed corpus under internal/protocol/testdata/fuzz
-## replays in plain `make test`, so past crashers stay fatal; this
-## target additionally mutates for a few seconds per target.
+## fuzz-smoke: short fuzzing bursts on the serving-tier wire codec and
+## the trace journal's record encoding. The committed seed corpora
+## under internal/{protocol,trace}/testdata/fuzz replay in plain
+## `make test`, so past crashers stay fatal; this target additionally
+## mutates for a few seconds per target.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWireRequest$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireResponse$$' -fuzztime=5s -run '^$$' ./internal/protocol
 	$(GO) test -fuzz '^FuzzWireToken$$' -fuzztime=5s -run '^$$' ./internal/protocol
+	$(GO) test -fuzz '^FuzzJournalRoundTrip$$' -fuzztime=5s -run '^$$' ./internal/trace
 
 clean:
 	$(GO) clean ./...

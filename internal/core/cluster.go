@@ -31,14 +31,15 @@ var (
 
 // Cluster hosts the processes of a live DSM system.
 //
-// The event hot path is lock-free: appendEvent writes into a sharded
-// trace.Journal (one append lane per process) and maintains the
-// Quiesce accounting in padded atomics, so concurrent writers and
-// delivery goroutines never serialize on a cluster-wide mutex. The
-// only cluster-level lock left is mu, guarding the crash-stop mirror
-// on the (slow) Crash/Restart control paths, plus obsMu, which
-// serializes the observer/sink tee when live observability is
-// configured. Lock order is always Node.mu before Cluster.mu.
+// The event hot path takes no cluster-wide lock: appendEvent writes
+// into a sharded trace.Journal (one encoded log per process, behind an
+// uncontended per-shard lock) and maintains the Quiesce accounting in
+// padded atomics, so concurrent writers and delivery goroutines never
+// serialize on a cluster-wide mutex. The only cluster-level lock left
+// is mu, guarding the crash-stop mirror on the (slow) Crash/Restart
+// control paths, plus obsMu, which serializes the observer/sink tee
+// when live observability is configured. Lock order is always Node.mu
+// before Cluster.mu.
 type Cluster struct {
 	cfg    Config
 	tr     transport.Transport
@@ -346,12 +347,12 @@ func (c *Cluster) StartTime() time.Time { return c.start }
 // now returns the trace timestamp (nanoseconds since cluster start).
 func (c *Cluster) now() int64 { return time.Since(c.start).Nanoseconds() }
 
-// appendEvent records e in the sharded journal (lock-free unless live
-// observability needs the serializing tee) and folds it into the
-// Quiesce accounting. The accounting update happens before appendEvent
-// returns, i.e. before the caller broadcasts the message the event
-// describes — so a Send's lag increments are always visible before any
-// resulting Apply decrements them.
+// appendEvent records e in the sharded journal (under its shard's lock
+// alone unless live observability needs the serializing tee) and folds
+// it into the Quiesce accounting. The accounting update happens before
+// appendEvent returns, i.e. before the caller broadcasts the message
+// the event describes — so a Send's lag increments are always visible
+// before any resulting Apply decrements them.
 func (c *Cluster) appendEvent(e trace.Event) {
 	if c.tee {
 		c.obsMu.Lock()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/protocol"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // serialLog is a trace.Sink that records events exactly as the old
@@ -48,72 +49,194 @@ func TestJournalMergeObservationallyIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			equivWorkload(t, c, []int{0, 1, 2}, 1)
+			requireSerialIdentical(t, c, sink, kind.String())
+		})
+	}
+}
 
-			var wg sync.WaitGroup
-			for p := 0; p < 3; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 1; i <= 40; i++ {
-						if err := c.WriteAt(p, i%2, int64(p*1000+i)); err != nil {
-							t.Error(err)
-							return
-						}
-						if i%3 == 0 {
-							if _, err := c.ReadAt(p, (i+1)%2); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-					}
-				}(p)
-			}
-			wg.Wait()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := c.Quiesce(ctx); err != nil {
-				t.Fatal(err)
-			}
-			// Stop the token loop and drain the transport before reading
-			// the sink: WS-send keeps announcing empty token rounds after
-			// quiescence, and those marker events would race the reads
-			// below (Close is idempotent with the deferred one).
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			merged := c.Log()
-			serial := sink.log
-			if len(merged.Events) != len(serial.Events) {
-				t.Fatalf("merged log has %d events, serial recording %d",
-					len(merged.Events), len(serial.Events))
-			}
-			for i := range merged.Events {
-				if merged.Events[i] != serial.Events[i] {
-					t.Fatalf("event %d differs:\nmerged: %+v\nserial: %+v",
-						i, merged.Events[i], serial.Events[i])
+// TestJournalMergeEveryEventKind extends the merge-identity check to
+// the event kinds a fault-free run never records: the chaos stack's
+// frame fates, crash/restart with the failure detector, and partial
+// replication's forwarded reads. Each run must record every kind it
+// targets.
+func TestJournalMergeEveryEventKind(t *testing.T) {
+	for _, run := range []struct {
+		name  string
+		cfg   Config
+		wal   bool // restart needs a WAL directory
+		drive func(t *testing.T, c *Cluster)
+		kinds []trace.EventKind
+	}{
+		{
+			name: "chaos",
+			cfg: Config{
+				Processes: 3, Variables: 2, Protocol: protocol.OptP,
+				MaxDelay: 200 * time.Microsecond, Seed: 3,
+				Chaos: transport.ChaosConfig{LossRate: 0.1, DupRate: 0.1, Seed: 3},
+			},
+			drive: func(t *testing.T, c *Cluster) { equivWorkload(t, c, []int{0, 1, 2}, 1) },
+			kinds: []trace.EventKind{trace.NetDrop, trace.Retransmit, trace.DupDiscard},
+		},
+		{
+			name: "crash-restart",
+			cfg: Config{
+				Processes: 3, Variables: 2, Protocol: protocol.OptP,
+				MaxDelay: 200 * time.Microsecond, Seed: 5,
+				HeartbeatInterval: time.Millisecond,
+			},
+			wal: true,
+			drive: func(t *testing.T, c *Cluster) {
+				const victim = 1
+				equivWorkload(t, c, []int{0, 1, 2}, 1)
+				if err := c.Crash(victim); err != nil {
+					t.Fatalf("crash: %v", err)
 				}
+				equivWorkload(t, c, []int{0, 2}, 1000)
+				awaitEvent(t, c, trace.Suspect)
+				if _, err := c.Restart(victim); err != nil {
+					t.Fatalf("restart: %v", err)
+				}
+				equivWorkload(t, c, []int{0, 1, 2}, 2000)
+				awaitEvent(t, c, trace.Alive)
+			},
+			kinds: []trace.EventKind{trace.Crash, trace.Recover, trace.Suspect, trace.Alive},
+		},
+		{
+			name: "partial",
+			cfg: Config{
+				Processes: 4, Variables: 4, Protocol: protocol.PartialRep,
+				ShareSets: protocol.Modulo(4, 4, 2).Raw(),
+				MaxDelay:  200 * time.Microsecond, Seed: 7,
+			},
+			drive: func(t *testing.T, c *Cluster) { equivWorkload(t, c, []int{0, 1, 2, 3}, 1) },
+			kinds: []trace.EventKind{trace.ReadFwd, trace.ReadServe},
+		},
+	} {
+		run := run
+		t.Run(run.name, func(t *testing.T) {
+			t.Parallel()
+			sink := &serialLog{log: trace.NewLog(run.cfg.Processes, run.cfg.Variables)}
+			cfg := run.cfg
+			cfg.Sink = sink
+			if run.wal {
+				cfg.WALDir = t.TempDir()
 			}
-
-			mRep, err := checker.Audit(merged)
+			c, err := NewCluster(cfg)
 			if err != nil {
-				t.Fatalf("audit of merged log: %v", err)
+				t.Fatal(err)
 			}
-			sRep, err := checker.Audit(serial)
-			if err != nil {
-				t.Fatalf("audit of serial log: %v", err)
-			}
-			if !mRep.Safe() || !mRep.CausallyConsistent() || !mRep.ExactlyOnce() {
-				t.Fatalf("merged log fails audit:\n%v", mRep)
-			}
-			if mRep.String() != sRep.String() {
-				t.Fatalf("verdicts differ:\nmerged:\n%v\nserial:\n%v", mRep, sRep)
-			}
-			if m, s := merged.Stats(kind.String()), serial.Stats(kind.String()); m != s {
-				t.Fatalf("stats differ:\nmerged: %+v\nserial: %+v", m, s)
+			defer c.Close()
+			run.drive(t, c)
+			merged := requireSerialIdentical(t, c, sink, cfg.Protocol.String())
+			for _, k := range run.kinds {
+				n := 0
+				for _, e := range merged.Events {
+					if e.Kind == k {
+						n++
+					}
+				}
+				if n == 0 {
+					t.Errorf("run recorded no %v events", k)
+				}
 			}
 		})
 	}
+}
+
+// equivWorkload has each of procs write 40 times over the cluster's
+// variables and read after every third write; values start at base so
+// later phases of one run write fresh values.
+func equivWorkload(t *testing.T, c *Cluster, procs []int, base int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, p := range procs {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			vars := c.Variables()
+			for i := 1; i <= 40; i++ {
+				if err := c.WriteAt(p, i%vars, int64(p*100000+base+i)); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					if _, err := c.ReadAt(p, (i+1)%vars); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
+// awaitEvent waits until the journal holds an event of kind k.
+func awaitEvent(t *testing.T, c *Cluster, k trace.EventKind) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, e := range c.Log().Events {
+			if e.Kind == k {
+				return
+			}
+		}
+	}
+	t.Fatalf("no %v event within 10s", k)
+}
+
+// requireSerialIdentical quiesces and closes c, then requires its
+// merged journal to equal the serially recorded sink stream event for
+// event, with identical checker verdicts and stats. It returns the
+// merged log.
+func requireSerialIdentical(t *testing.T, c *Cluster, sink *serialLog, name string) *trace.Log {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Stop the token loop, the detector and the transport before
+	// reading the sink: WS-send keeps announcing empty token rounds
+	// after quiescence, and those marker events would race the reads
+	// below (Close is idempotent with the deferred one).
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	merged := c.Log()
+	serial := sink.log
+	if len(merged.Events) != len(serial.Events) {
+		t.Fatalf("merged log has %d events, serial recording %d",
+			len(merged.Events), len(serial.Events))
+	}
+	for i := range merged.Events {
+		if merged.Events[i] != serial.Events[i] {
+			t.Fatalf("event %d differs:\nmerged: %+v\nserial: %+v",
+				i, merged.Events[i], serial.Events[i])
+		}
+	}
+	// The sink never sees the share-set assignment; the audit needs it.
+	serial.ShareSets = merged.ShareSets
+
+	mRep, err := checker.Audit(merged)
+	if err != nil {
+		t.Fatalf("audit of merged log: %v", err)
+	}
+	sRep, err := checker.Audit(serial)
+	if err != nil {
+		t.Fatalf("audit of serial log: %v", err)
+	}
+	if !mRep.Safe() || !mRep.CausallyConsistent() || !mRep.ExactlyOnce() {
+		t.Fatalf("merged log fails audit:\n%v", mRep)
+	}
+	if mRep.String() != sRep.String() {
+		t.Fatalf("verdicts differ:\nmerged:\n%v\nserial:\n%v", mRep, sRep)
+	}
+	if m, s := merged.Stats(name), serial.Stats(name); m != s {
+		t.Fatalf("stats differ:\nmerged: %+v\nserial: %+v", m, s)
+	}
+	return merged
 }
 
 // TestCloseVsWrite regression-tests the lock-free closed flag: Close

@@ -256,6 +256,12 @@ func TestChaosGaugesScrape(t *testing.T) {
 	}
 	defer c.Close()
 	runWorkload(t, c, procs, vars, ops, seed)
+	// Retransmits and drops keep happening until the transport is
+	// drained; close first so the scrape and the log see the same
+	// final counts.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	_, body := scrape(t, srv.Addr(), "/metrics")
 	series := parseProm(t, body)

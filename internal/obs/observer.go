@@ -87,7 +87,7 @@ type receiptSlot struct {
 // Observe must not be called concurrently with itself: the cluster
 // invokes it under its observability tee lock, which serializes the
 // event stream in global (ticket) order even though the journal
-// itself is sharded and lock-free when no observer is attached.
+// itself is sharded per process when no observer is attached.
 // Under that contract the hot path takes no locks at all — counters
 // and histograms are atomics, and the span-tracking windows are plain
 // arrays only Observe touches. The mutex guards only the completed-span

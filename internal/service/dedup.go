@@ -115,10 +115,19 @@ func (t *dedupTable) complete(sid, opSeq uint64, resp protocol.Response) {
 	if resp.Status == protocol.StatusOK {
 		e.resp, e.ok = resp, true
 		if opSeq >= t.window && opSeq-t.window+1 > s.floor {
+			// No entry sits below the old floor, so only [old, new)
+			// needs deleting; scan the map instead when it is smaller.
+			old := s.floor
 			s.floor = opSeq - t.window + 1
-			for seq := range s.entries {
-				if seq < s.floor {
+			if s.floor-old <= uint64(len(s.entries)) {
+				for seq := old; seq < s.floor; seq++ {
 					delete(s.entries, seq)
+				}
+			} else {
+				for seq := range s.entries {
+					if seq < s.floor {
+						delete(s.entries, seq)
+					}
 				}
 			}
 		}

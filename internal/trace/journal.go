@@ -1,81 +1,78 @@
 package trace
 
 import (
-	"runtime"
-	"sort"
+	"encoding/binary"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/history"
 )
 
-// Journal is the live runtime's concurrent event recorder: a sharded,
-// lock-free append structure that replaces the single mutex-guarded
-// Log on the hot path. Each process appends into its own shard (a
-// linked list of fixed-size chunks, so a recorded event is never moved
-// again — no reallocation, no copying), while a single global ticket
-// counter stamps every event with its position in the cluster-wide
-// total order. Snapshot merges the shards back into an ordinary Log
-// whenever a checker or experiment wants one.
+// Journal is the live runtime's concurrent event recorder. Each
+// process appends to its own shard, a compact encoded byte log, while a
+// single global ticket counter stamps every event with its position in
+// the cluster-wide total order. Snapshot decodes and merges the shards
+// back into an ordinary Log whenever a checker or experiment wants one.
 //
-// Why the checker still sees a total order: an event's ticket is
-// acquired inside the operation that produces it, before the operation
-// releases whatever makes the event observable elsewhere (the node
-// lock, the transport send). If event e₁ happens-before e₂ — same
-// process program order, or a message send/receive pair — then e₁'s
-// ticket was drawn strictly before e₂'s, so sorting by ticket yields a
-// total order consistent with every per-process sequence E_i and with
-// message causality, exactly what Log.Append's global lock used to
-// guarantee.
+// A shard is a list of fixed-size blocks, never copied or reallocated,
+// of which only the newest is partly filled. A record is a header byte
+// (Kind in the low 5 bits, then the flags below), a uvarint ticket
+// delta, a zigzag Time delta, then Write.Proc, Write.Seq, Var and Val
+// as zigzag varints unless they repeat the previous record's (Send
+// after Issue, Apply after Receipt), then From if it is set. Proc is
+// implied by the shard.
 //
-// Mid-run snapshots additionally truncate at the first missing ticket:
-// tickets are dense, so a gap means some append is still in flight, and
-// every event after the gap might causally depend on the missing one.
-// Cutting there makes every Snapshot a true prefix of the final log,
-// preserving the old "mid-run audits see a prefix" contract. After
-// Quiesce/Close there are no in-flight appends and nothing is cut.
+// Why the checker still sees a total order: an event's ticket is drawn
+// inside the operation that produces it, before the operation releases
+// whatever makes the event observable elsewhere (the node lock, the
+// transport send). If event e₁ happens-before e₂ — same process
+// program order, or a message send/receive pair — then e₁'s ticket was
+// drawn strictly before e₂'s, so ticket order is a total order
+// consistent with every per-process sequence E_i and with message
+// causality. Tickets are drawn under the shard lock, so they also rise
+// within each shard and the merge never sorts.
+//
+// Mid-run snapshots truncate at the first missing ticket: a gap is an
+// event recorded after its shard was read, and every later event might
+// causally depend on it. Cutting there makes every Snapshot a true
+// prefix of the final log. After Quiesce/Close nothing is cut.
 type Journal struct {
 	numProcs  int
 	numVars   int
 	shareSets [][]int
 
-	// ticket is the global order ticket source; the next event gets
-	// ticket.Add(1)-1 as its Seq.
-	ticket atomic.Int64
-
+	ticket atomic.Int64 // the next event's Seq is ticket.Add(1)-1
 	shards []shard
 }
 
-// chunkSize is the shard chunk capacity. 512 events ≈ 60 KiB per
-// chunk: large enough that chunk allocation is a ~1/512-per-event
-// amortized cost, small enough that short runs don't balloon.
-const chunkSize = 512
+const (
+	// blockSize is the shard block capacity. A record never straddles
+	// two blocks; maxRecord bounds it (header + eight varints).
+	blockSize = 4 << 10
+	maxRecord = 1 + 8*binary.MaxVarintLen64
 
-type chunk struct {
-	idx    int // position in the shard's chunk list, fixed at creation
-	next   atomic.Pointer[chunk]
-	events [chunkSize]Event
-	ready  [chunkSize]atomic.Bool
-}
+	kindMask      = 1<<5 - 1
+	flagBuffered  = 1 << 5
+	flagSameWrite = 1 << 6 // Write, Var, Val repeat the previous record's
+	flagFrom      = 1 << 7
+)
 
-// shard is one process's append lane. cursor reserves slots; slot k
-// lives in chunk k/chunkSize at offset k%chunkSize. Chunks are linked
-// on demand with a CAS, so concurrent reservers of a fresh chunk agree
-// on a single winner. The pad keeps neighbouring shards' hot counters
-// off one cache line.
+var _ [kindMask + 1 - NumKinds]struct{} // every kind fits the header
+
+// shard is one process's encoded log. mu guards the blocks and the
+// delta base prev; the pad keeps neighbouring shards' hot fields off
+// one cache line.
 type shard struct {
-	cursor atomic.Int64
-	head   atomic.Pointer[chunk]
-	tail   atomic.Pointer[chunk] // hint only; may lag behind the true tail
-	_      [40]byte
+	mu     sync.Mutex
+	blocks [][]byte // sealed blocks, never written again
+	cur    []byte   // the open block: len bytes written, cap blockSize
+	prev   Event    // the last record, the base of the next one's deltas
+	_      [64]byte
 }
 
 // NewJournal returns an empty journal for n processes over m variables.
 func NewJournal(n, m int) *Journal {
-	j := &Journal{numProcs: n, numVars: m, shards: make([]shard, n)}
-	for i := range j.shards {
-		c := new(chunk)
-		j.shards[i].head.Store(c)
-		j.shards[i].tail.Store(c)
-	}
-	return j
+	return &Journal{numProcs: n, numVars: m, shards: make([]shard, n)}
 }
 
 // NumProcs returns the process count the journal was built for.
@@ -91,17 +88,15 @@ func (j *Journal) SetShareSets(sets [][]int) { j.shareSets = sets }
 
 // Record stores *e, stamping its global ticket into e.Seq in place —
 // the copy-free form of Append for hot paths. It is safe for
-// concurrent use and lock-free: one atomic add for the ticket, one for
-// the shard slot, a release store to publish. e.Proc must be in
-// [0, NumProcs). Record does not retain e.
+// concurrent use; it locks only e.Proc's shard, which a process's own
+// events already reach serialized. e.Proc must be in [0, NumProcs).
+// Record does not retain e.
 func (j *Journal) Record(e *Event) {
-	e.Seq = int(j.ticket.Add(1) - 1)
 	s := &j.shards[e.Proc]
-	slot := s.cursor.Add(1) - 1
-	c := s.chunkFor(int(slot / chunkSize))
-	off := int(slot % chunkSize)
-	c.events[off] = *e
-	c.ready[off].Store(true)
+	s.mu.Lock()
+	e.Seq = int(j.ticket.Add(1) - 1)
+	s.put(e)
+	s.mu.Unlock()
 }
 
 // Append records e, stamping its global ticket into Seq, and returns
@@ -111,76 +106,114 @@ func (j *Journal) Append(e Event) Event {
 	return e
 }
 
-// chunkFor walks (extending as needed) to chunk index ci of the shard.
-// The tail hint makes the walk O(1) in the steady state: appends land
-// in the newest chunk, which is exactly where the hint points.
-func (s *shard) chunkFor(ci int) *chunk {
-	c := s.tail.Load()
-	if c.idx > ci {
-		c = s.head.Load() // hint overshot (a slower append behind us)
-	}
-	for c.idx < ci {
-		next := c.next.Load()
-		if next == nil {
-			fresh := &chunk{idx: c.idx + 1}
-			if c.next.CompareAndSwap(nil, fresh) {
-				next = fresh
-			} else {
-				next = c.next.Load()
-			}
+// put encodes e after s.prev; the caller holds s.mu.
+func (s *shard) put(e *Event) {
+	if cap(s.cur)-len(s.cur) < maxRecord {
+		if len(s.cur) > 0 {
+			s.blocks = append(s.blocks, s.cur)
 		}
-		c = next
+		s.cur = make([]byte, 0, blockSize)
 	}
-	s.tail.Store(c)
-	return c
+	h := byte(e.Kind)
+	if e.Buffered {
+		h |= flagBuffered
+	}
+	if e.Write == s.prev.Write && e.Var == s.prev.Var && e.Val == s.prev.Val {
+		h |= flagSameWrite
+	}
+	if !e.From.IsBottom() {
+		h |= flagFrom
+	}
+	b := binary.AppendUvarint(append(s.cur, h), uint64(e.Seq-s.prev.Seq))
+	b = binary.AppendVarint(b, e.Time-s.prev.Time)
+	if h&flagSameWrite == 0 {
+		b = binary.AppendVarint(b, int64(e.Write.Proc))
+		b = binary.AppendVarint(b, int64(e.Write.Seq))
+		b = binary.AppendVarint(b, int64(e.Var))
+		b = binary.AppendVarint(b, e.Val)
+	}
+	if h&flagFrom != 0 {
+		b = binary.AppendVarint(b, int64(e.From.Proc))
+		b = binary.AppendVarint(b, int64(e.From.Seq))
+	}
+	s.cur, s.prev = b, *e
 }
 
-// Len returns the number of tickets drawn so far (appends completed or
-// in flight).
+// Len returns the number of tickets drawn so far.
 func (j *Journal) Len() int { return int(j.ticket.Load()) }
 
-// Snapshot merges the shards into a Log ordered by ticket. Events whose
-// append is still in flight are waited for briefly (the publish is a
-// handful of instructions after the reservation); if the collected
-// tickets have a gap — an append that reserved a ticket but has not yet
-// reached its shard — the log is truncated at the gap so the result is
-// a causally-closed prefix of the run. Seq is renumbered densely.
+// Snapshot merges the shards into a Log ordered by ticket: it copies
+// each shard's block headers under its lock, decodes outside it, and
+// k-way merges the ticket-ordered shards up to the first ticket gap.
 func (j *Journal) Snapshot() *Log {
-	total := 0
-	counts := make([]int64, len(j.shards))
-	for i := range j.shards {
-		counts[i] = j.shards[i].cursor.Load()
-		total += int(counts[i])
-	}
-	events := make([]Event, 0, total)
+	lanes := make([]*lane, 0, len(j.shards))
 	for i := range j.shards {
 		s := &j.shards[i]
-		c := s.head.Load()
-		off := 0
-		for k := int64(0); k < counts[i]; k++ {
-			if off == chunkSize {
-				c = c.next.Load()
-				off = 0
-			}
-			for !c.ready[off].Load() {
-				runtime.Gosched()
-			}
-			events = append(events, c.events[off])
-			off++
+		s.mu.Lock()
+		r := &lane{blocks: append(s.blocks[:len(s.blocks):len(s.blocks)], s.cur), e: Event{Proc: i}}
+		s.mu.Unlock()
+		if r.next() {
+			lanes = append(lanes, r)
 		}
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
-	// Truncate at the first ticket gap and renumber densely so the
-	// result is indistinguishable from a log built by Log.Append.
-	for i := range events {
-		if events[i].Seq != i {
-			events = events[:i]
-			break
+	// Every event read above drew its ticket before this load.
+	events := make([]Event, 0, j.Len())
+	for m := 0; len(lanes) > 0; {
+		// Search from the lane just taken from: Send follows Issue.
+		k := 0
+		for ; k < len(lanes) && lanes[m].e.Seq != len(events); k++ {
+			m = (m + 1) % len(lanes)
 		}
-		events[i].Seq = i
+		if k == len(lanes) {
+			break // ticket gap: keep the causally-closed prefix
+		}
+		events = append(events, lanes[m].e)
+		if !lanes[m].next() {
+			lanes = append(lanes[:m], lanes[m+1:]...)
+			m = 0
+		}
 	}
 	l := NewLog(j.numProcs, j.numVars)
 	l.Events = events
 	l.ShareSets = j.shareSets
 	return l
+}
+
+// lane decodes one shard's records in order into e. buf is the unread
+// rest of the current block.
+type lane struct {
+	buf    []byte
+	blocks [][]byte
+	e      Event
+}
+
+// next decodes the lane's next record, reporting false at its end.
+func (r *lane) next() bool {
+	for len(r.buf) == 0 {
+		if len(r.blocks) == 0 {
+			return false
+		}
+		r.buf, r.blocks = r.blocks[0], r.blocks[1:]
+	}
+	h := r.buf[0]
+	u, n := binary.Uvarint(r.buf[1:])
+	r.buf = r.buf[1+n:]
+	r.e.Kind, r.e.Buffered = EventKind(h&kindMask), h&flagBuffered != 0
+	r.e.Seq += int(u)
+	r.e.Time += r.varint()
+	if h&flagSameWrite == 0 {
+		r.e.Write = history.WriteID{Proc: int(r.varint()), Seq: int(r.varint())}
+		r.e.Var, r.e.Val = int(r.varint()), r.varint()
+	}
+	r.e.From = history.Bottom
+	if h&flagFrom != 0 {
+		r.e.From = history.WriteID{Proc: int(r.varint()), Seq: int(r.varint())}
+	}
+	return true
+}
+
+func (r *lane) varint() int64 {
+	v, n := binary.Varint(r.buf)
+	r.buf = r.buf[n:]
+	return v
 }
